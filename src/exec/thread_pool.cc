@@ -37,6 +37,34 @@ bumpHighWater(std::atomic<uint64_t> &hwm, uint64_t depth)
     }
 }
 
+/**
+ * Causal tracing: capture the submitting thread's span context plus a
+ * fresh flow id, emit the flow start here (inside the submitter's open
+ * span), and wrap the task so its run records an "exec.task" span
+ * parented to the *submitter* - not to whatever the executing worker
+ * happened to be doing - with the flow finish landing inside it. This
+ * is what keeps traces causal across submit/steal/run. Returns @p fn
+ * unchanged when tracing is off.
+ */
+std::function<void()>
+traceTask(std::function<void()> fn)
+{
+    obs::PhaseTracer &tracer = obs::PhaseTracer::global();
+    if (!tracer.enabled())
+        return fn;
+    uint64_t flow = tracer.newId();
+    uint64_t parent = tracer.currentSpanId();
+    tracer.recordFlowStart("exec.task", flow);
+    return [inner = std::move(fn), parent, flow]() mutable {
+        obs::ScopedSpan span("exec.task", parent, flow);
+        inner();
+        // Drop captured state before the span closes, so the span
+        // (and with it the task's trace events) is the last thing
+        // the task does.
+        inner = nullptr;
+    };
+}
+
 } // anonymous namespace
 
 uint64_t
@@ -156,29 +184,12 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::submit(std::function<void()> fn)
 {
-    // Causal tracing: capture the submitting thread's span context
-    // plus a fresh flow id, emit the flow start here (inside the
-    // submitter's open span), and wrap the task so its run records
-    // an "exec.task" span parented to the *submitter* - not to
-    // whatever the executing worker happened to be doing - with the
-    // flow finish landing inside it. This is what keeps traces
-    // causal across submit/steal/run.
-    obs::PhaseTracer &tracer = obs::PhaseTracer::global();
-    if (tracer.enabled()) {
-        uint64_t flow = tracer.newId();
-        uint64_t parent = tracer.currentSpanId();
-        tracer.recordFlowStart("exec.task", flow);
-        fn = [inner = std::move(fn), parent, flow]() mutable {
-            obs::ScopedSpan span("exec.task", parent, flow);
-            inner();
-            // Drop captured state before the span closes; the inner
-            // wrapper (TaskGroup) has already released user captures
-            // by the time it signals completion, and this keeps the
-            // tracing wrapper equally invisible to that contract.
-            inner = nullptr;
-        };
-    }
+    enqueue(traceTask(std::move(fn)));
+}
 
+void
+ThreadPool::enqueue(std::function<void()> fn)
+{
     unsigned target;
     if (tl_pool == this) {
         // Tasks spawned by a worker land on its own deque (warm
@@ -468,7 +479,11 @@ ThreadPool::TaskGroup::run(std::function<void()> fn)
         std::lock_guard<std::mutex> lk(state->mu);
         ++state->outstanding;
     }
-    pool.submit([st = state, fn = std::move(fn)]() mutable {
+    // The tracing wrapper goes *inside* the completion signal: its
+    // exec.task span and flow finish are recorded before wait() can
+    // return, so a trace exported after wait() holds the whole task.
+    pool.enqueue([st = state,
+                  fn = traceTask(std::move(fn))]() mutable {
         try {
             fn();
         } catch (...) {

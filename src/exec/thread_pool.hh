@@ -225,6 +225,8 @@ class ThreadPool
   private:
     struct Worker;
 
+    /** submit() minus the tracing wrapper: queue @p fn as is. */
+    void enqueue(std::function<void()> fn);
     void workerMain(unsigned self);
     bool claimTask(unsigned self, std::function<void()> &out);
     void execute(unsigned self, std::function<void()> &task);

@@ -33,6 +33,7 @@
 #include "exec/dump_io.hh"
 #include "exec/thread_pool.hh"
 #include "memctrl/scrambler.hh"
+#include "obs/trace.hh"
 #include "platform/memory_image.hh"
 #include "simd/simd.hh"
 
@@ -131,6 +132,36 @@ TEST(ThreadPool, ExceptionPropagatesToWait)
     // wait() returns only after every task completed, exception or
     // not - the group is reusable state-wise and all tasks ran.
     EXPECT_EQ(ran.load(), 64);
+}
+
+TEST(ThreadPool, WaitReturnsOnlyAfterTaskTraceIsRecorded)
+{
+    // A trace exported right after wait() must hold each task's
+    // exec.task slice and flow finish, not only its flow start: the
+    // tracing wrapper records both before the group counts the task
+    // done. The task runs on a pool worker, so it closes its span on
+    // another thread than the one that exports.
+    obs::PhaseTracer &tracer = obs::PhaseTracer::global();
+    ThreadPool pool(2);
+    for (int i = 0; i < 2000; ++i) {
+        tracer.resetForTest();
+        ThreadPool::TaskGroup group(pool);
+        group.run([] {});
+        group.wait();
+        size_t starts = 0, finishes = 0, slices = 0;
+        for (const auto &ev : tracer.events()) {
+            if (ev.phase == obs::TraceEvent::Phase::FlowStart)
+                ++starts;
+            else if (ev.phase == obs::TraceEvent::Phase::FlowFinish)
+                ++finishes;
+            else if (ev.name == "exec.task")
+                ++slices;
+        }
+        ASSERT_EQ(starts, 1u) << "iteration " << i;
+        ASSERT_EQ(finishes, 1u) << "iteration " << i;
+        ASSERT_EQ(slices, 1u) << "iteration " << i;
+    }
+    tracer.resetForTest();
 }
 
 TEST(ThreadPool, NestedSubmitsDoNotDeadlock)
